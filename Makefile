@@ -22,7 +22,9 @@
 #   make watch-demo  live-telemetry demo: a background sweep with -serve
 #                    plus `restbench -watch` attached to it
 #   make clean-cache remove the default local persistent cache directory
-#   make verify      what CI runs: vet + test + race
+#   make perfbench   vet and test the nested benchmark module (perfbench/),
+#                    which the root module's ./... never compiles
+#   make verify      what CI runs: vet + test + perfbench + race
 
 GO         ?= go
 FUZZTIME   ?= 10s
@@ -30,7 +32,7 @@ SEED       ?= 42
 BENCH_JSON ?= BENCH_10.json
 CACHE_DIR  ?= .restcache
 
-.PHONY: build vet test race fuzz-short faults bench bench-smoke bench-json chaos-short watch-demo clean-cache verify
+.PHONY: build vet test perfbench race fuzz-short faults bench bench-smoke bench-json chaos-short watch-demo clean-cache verify
 
 build:
 	$(GO) build ./...
@@ -40,6 +42,11 @@ vet:
 
 test: build
 	$(GO) test ./...
+
+# perfbench/ is a module of its own (it imports this one through a replace
+# directive), so `go test ./...` above never builds it.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The harness package's differential suites run close to go test's default
 # 10-minute per-package deadline under the race detector (they already
@@ -97,4 +104,4 @@ watch-demo: build
 clean-cache:
 	rm -rf $(CACHE_DIR)
 
-verify: vet test race
+verify: vet test perfbench race

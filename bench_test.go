@@ -73,7 +73,7 @@ func BenchmarkFigure3ASanBreakdown(b *testing.B) {
 	var r *harness.Fig3Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = harness.RunFig3(context.Background(), workload.All(), benchScale)
+		r, err = harness.RunFig3Parallel(context.Background(), workload.All(), benchScale, harness.ParallelOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -876,7 +876,7 @@ func BenchmarkMicroStats(b *testing.B) {
 	var s *harness.MicroStats
 	var err error
 	for i := 0; i < b.N; i++ {
-		s, err = harness.RunMicroStats(context.Background(), wl, benchScale)
+		s, err = harness.RunMicroStatsParallel(context.Background(), wl, benchScale, harness.ParallelOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -182,10 +182,9 @@ type cacheFlagState struct {
 // the effective store mode, the parsed chaos spec, and the grid slice this
 // process owns.
 type cacheSetup struct {
-	Mode    string // "rw", "ro" or "off"
-	Chaos   *persist.ChaosSpec
-	Shard   harness.Shard
-	Elastic bool // -shard auto: work-stealing pool instead of a fixed slice
+	Mode  string // "rw", "ro" or "off"
+	Chaos *persist.ChaosSpec
+	Shard harness.Shard // a static slice, or the elastic pool for -shard auto
 }
 
 // validateCacheFlags rejects contradictory persistent-cache spellings with
@@ -256,13 +255,9 @@ func validateCacheFlags(s cacheFlagState) (cacheSetup, error) {
 		if !store || mode != "rw" {
 			return none, errors.New("restbench: -shard publishes its artifacts to the shared store; pass -cache-dir DIR or -cache-url URL in read-write mode")
 		}
-		if s.Shard == "auto" {
-			setup.Elastic = true
-		} else {
-			var err error
-			if setup.Shard, err = harness.ParseShard(s.Shard); err != nil {
-				return none, fmt.Errorf("restbench: -shard: %v", err)
-			}
+		var err error
+		if setup.Shard, err = harness.ParseShard(s.Shard); err != nil {
+			return none, fmt.Errorf("restbench: -shard: %v", err)
 		}
 	}
 	if s.Merge && (!store || mode == "off") {
@@ -415,9 +410,7 @@ func main() {
 	// artifacts; the reports it could render would be partial, so stdout
 	// stays empty and a later -merge run assembles the real ones from the
 	// shared store.
-	shardMode := setup.Shard.Enabled()
-	elasticMode := setup.Elastic
-	workerMode := shardMode || elasticMode
+	workerMode := setup.Shard.Enabled()
 	engine, eerr := sim.ParseEngine(*engineName)
 	if eerr != nil {
 		fmt.Fprintln(os.Stderr, "restbench: "+eerr.Error())
@@ -451,7 +444,6 @@ func main() {
 		CellInstrBudget: *cellBudget,
 		Engine:          engine,
 		Shard:           setup.Shard,
-		Elastic:         setup.Elastic,
 	}
 	// One cache for the whole invocation: grids that share functional
 	// identities across sweeps (e.g. -fig8 and -fig8sens both time the
@@ -545,7 +537,7 @@ func main() {
 	sweepOpt := func(name string, cells int) (harness.ParallelOptions, func(*harness.Matrix)) {
 		o := opt
 		o.Metrics = *metricsOut != ""
-		// In shard mode the meter, the live gauges and the stderr note all
+		// On a static shard the meter, the live gauges and the stderr note all
 		// describe the work this shard actually owns — a count only the sweep
 		// planner knows (the partition unit is the functional identity, not
 		// the cell), so they are wired up from its OnPlan report instead of
@@ -558,7 +550,20 @@ func main() {
 			}
 			tel.AddSweep(name, cells)
 		}
-		if shardMode {
+		switch {
+		case setup.Shard.Elastic():
+			// The elastic summary is the worker's only account of the pool
+			// dynamics: how many units it claimed (and how many of those were
+			// steals from dead peers), how many it published, and how many it
+			// abandoned to a livelier thief. CI greps the "elastic pool:"
+			// prefix.
+			startMeter(cells)
+			o.OnElastic = func(st harness.ElasticStats) {
+				fmt.Fprintf(os.Stderr,
+					"%s: elastic pool: claimed %d of %d units (%d stolen), %d done, %d already published, %d lease-lost, %d cells computed, %d drain waits\n",
+					name, st.Claimed, st.Units, st.Steals, st.Done, st.Skipped, st.LeaseLost, st.CellsRun, st.DrainWaits)
+			}
+		case setup.Shard.Enabled():
 			o.OnPlan = func(owned, total int) {
 				note := ""
 				if owned == 0 {
@@ -568,20 +573,8 @@ func main() {
 					name, setup.Shard, owned, total, note)
 				startMeter(owned)
 			}
-		} else {
+		default:
 			startMeter(cells)
-		}
-		if elasticMode {
-			// The elastic summary is the worker's only account of the pool
-			// dynamics: how many units it claimed (and how many of those were
-			// steals from dead peers), how many it published, and how many it
-			// abandoned to a livelier thief. CI greps the "elastic pool:"
-			// prefix.
-			o.OnElastic = func(st harness.ElasticStats) {
-				fmt.Fprintf(os.Stderr,
-					"%s: elastic pool: claimed %d of %d units (%d stolen), %d done, %d already published, %d lease-lost, %d cells computed, %d drain waits\n",
-					name, st.Claimed, st.Units, st.Steals, st.Done, st.Skipped, st.LeaseLost, st.CellsRun, st.DrainWaits)
-			}
 		}
 		var telOn func(harness.CellEvent)
 		if serving {

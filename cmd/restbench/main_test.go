@@ -13,11 +13,11 @@ import (
 func TestValidateCacheFlags(t *testing.T) {
 	dir := t.TempDir()
 	for _, tt := range []struct {
-		name      string
-		s         cacheFlagState
-		mode      string
-		wantChaos bool
-		wantShard   string // Shard.String() of the parsed slice ("" = full grid)
+		name        string
+		s           cacheFlagState
+		mode        string
+		wantChaos   bool
+		wantShard   string // Shard.String() of the parsed shard ("" = full grid, "auto" = elastic pool)
 		wantElastic bool   // -shard auto resolved to the work-stealing pool
 		wantErr     string
 	}{
@@ -188,12 +188,14 @@ func TestValidateCacheFlags(t *testing.T) {
 			name:        "shard auto over a url store",
 			s:           cacheFlagState{URL: "http://localhost:9", Shard: "auto", TraceCache: true},
 			mode:        "rw",
+			wantShard:   "auto",
 			wantElastic: true,
 		},
 		{
 			name:        "shard auto over a dir store",
 			s:           cacheFlagState{Dir: dir, Shard: "auto", TraceCache: true},
 			mode:        "rw",
+			wantShard:   "auto",
 			wantElastic: true,
 		},
 		{
@@ -233,6 +235,7 @@ func TestValidateCacheFlags(t *testing.T) {
 				StaleAge: 5 * time.Second, StaleAgeSet: true, TraceCache: true,
 			},
 			mode:        "rw",
+			wantShard:   "auto",
 			wantElastic: true,
 		},
 		{name: "merge over a dir store", s: cacheFlagState{Dir: dir, Merge: true, TraceCache: true}, mode: "rw"},
@@ -273,8 +276,8 @@ func TestValidateCacheFlags(t *testing.T) {
 			if setup.Shard.String() != tt.wantShard {
 				t.Fatalf("shard: want %q got %q", tt.wantShard, setup.Shard)
 			}
-			if setup.Elastic != tt.wantElastic {
-				t.Fatalf("elastic: want %t got %t", tt.wantElastic, setup.Elastic)
+			if setup.Shard.Elastic() != tt.wantElastic {
+				t.Fatalf("elastic: want %t got %t", tt.wantElastic, setup.Shard.Elastic())
 			}
 		})
 	}

@@ -63,7 +63,7 @@ func TestDiskCacheCellDifferential(t *testing.T) {
 				one := []workload.Workload{wl}
 				pair := []BinaryConfig{cfg}
 
-				streamed, err := RunLimited(wl, cfg, 1, CellLimits{})
+				streamed, err := RunCached(wl, cfg, 1, CellLimits{}, nil)
 				if err != nil {
 					t.Fatalf("streamed run: %v", err)
 				}

@@ -1,28 +1,27 @@
 package harness
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sync"
+	"sync/atomic"
 	"time"
 
+	"rest/internal/obs"
 	"rest/internal/persist"
-	"rest/internal/workload"
 )
 
-// The elastic sweep pool: work-stealing over the shared artifact store.
+// The elastic dealing policy: work-stealing over the shared artifact store.
 //
-// Static sharding (shard.go) partitions the grid up front, so one slow or
-// killed shard strands its slice and caps the pool at the slowest worker.
-// The elastic scheduler replaces the partition with claims: every worker
-// sees the same unit list (functional identities in first-appearance order,
-// exactly the static partition's unit), and claims units one lease at a
-// time on the store's lock plane. A completed unit is recorded by a tiny
+// A static shard (shard.go) takes its units up front, so one slow or killed
+// shard strands its slice and caps the pool at the slowest worker. The
+// elastic policy deals by claim instead: every worker sees the same unit
+// list (gridUnits), and claims units one lease at a time on the store's lock
+// plane, feeding each claimed unit's cells into the sweep engine's worker
+// pool like any other dealt cell. A completed unit is recorded by a tiny
 // completion marker in the store's meta namespace; the grid is drained when
 // every unit has one. Recovery is built from the same two primitives —
 //
@@ -41,11 +40,6 @@ import (
 // an unanswerable lock plane grants the claim (worst case a duplicated
 // unit), an unlistable meta namespace retries at the next wake — so chaos
 // degrades the pool to recompute, never to a wrong byte or a hang.
-//
-// The unit of stealing is the functional identity, not the cell, for the
-// same reason it is the static shard's partition unit: all cells of a unit
-// share one captured trace, and splitting them across workers would
-// serialize every worker on the store's single-flight capture locks.
 
 // ElasticStats summarizes one worker's participation in an elastic pool.
 type ElasticStats struct {
@@ -59,42 +53,6 @@ type ElasticStats struct {
 	CellsRun   int // grid cells this worker executed
 }
 
-// elasticUnit is one steal unit: a functional identity and the grid indices
-// of the cells sharing it.
-type elasticUnit struct {
-	key   traceKey
-	cells []int
-}
-
-// elasticUnits enumerates the grid's units in first-appearance order — the
-// same numbering Shard.ownership deals from, so the elastic pool and the
-// static partition agree on what a unit is.
-func elasticUnits(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) []elasticUnit {
-	index := make(map[traceKey]int)
-	var units []elasticUnit
-	i := 0
-	for _, wl := range wls {
-		for _, cfg := range cfgs {
-			k := cellTraceKey(wl.Name, cfg, scale, budget)
-			u, seen := index[k]
-			if !seen {
-				u = len(units)
-				index[k] = u
-				units = append(units, elasticUnit{key: k})
-			}
-			units[u].cells = append(units[u].cells, i)
-			i++
-		}
-	}
-	return units
-}
-
-// UnitCount reports how many steal units a grid partitions into. Exposed
-// for benchmarks and tooling that watch a pool drain marker by marker.
-func UnitCount(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) int {
-	return len(elasticUnits(wls, cfgs, scale, budget))
-}
-
 // ElasticMarkerPrefix namespaces completion markers within the store's meta
 // objects (beside the manifest, exempt from the byte cap and eviction).
 const ElasticMarkerPrefix = "elastic-"
@@ -102,7 +60,7 @@ const ElasticMarkerPrefix = "elastic-"
 // elasticGridID digests the unit list so claim and marker names are scoped
 // to one exact grid: two different sweeps sharing a store can both run
 // elastically without touching each other's units.
-func elasticGridID(units []elasticUnit, scale int64) string {
+func elasticGridID(units []sweepUnit, scale int64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "elastic|v1|scale=%d|units=%d\n", scale, len(units))
 	for _, u := range units {
@@ -126,184 +84,73 @@ func elasticClaimName(grid string, u int) string {
 // one request a second, not a polling storm.
 const elasticWaitBound = time.Second
 
-// unitResult is one finished (or abandoned) unit's report to the
-// coordinator.
-type unitResult struct {
-	unit      int
-	done      bool // completion marker published
-	leaseLost bool
-	cellsRun  int
+// elasticPool is one sweep's claim coordinator. Its bookkeeping (stats,
+// markerDone, inflight, slotsFree) belongs to the sweep goroutine, which
+// runs deal and drains unitDone; workers only hand finished units back over
+// unitDone.
+type elasticPool struct {
+	s          *sweep
+	store      *persist.Cache
+	grid       string
+	unitDone   chan *claimedUnit
+	stats      ElasticStats
+	markerDone []bool
+	doneCount  int
+	inflight   []bool
+	// slotsFree caps this process's claimed units in flight at one per
+	// worker: a unit is claimed only when a worker can start it, so no
+	// claim sits queued here while an idle peer could have taken it.
+	slotsFree int
 }
 
-// runMatrixElastic is RunMatrixParallel's work-stealing path (opt.Elastic).
-// The returned Matrix holds the cells this worker computed — a pool
-// worker's view is partial by construction, like a static shard's — and the
-// full report is assembled by a warm merge run over the shared store.
-func runMatrixElastic(ctx context.Context, wls []workload.Workload, cfgs []BinaryConfig, scale int64, opt ParallelOptions) (*Matrix, error) {
-	tc := opt.TraceCache
+// claimedUnit is one unit this worker holds a lease on, in flight through
+// the sweep's worker pool. The worker that finishes its last cell publishes
+// it (publish) and hands it back to the coordinator.
+type claimedUnit struct {
+	index   int
+	claim   *persist.Claim
+	pending atomic.Int32 // cells not yet through the pool
+	ran     atomic.Int32 // cells executed
+	skipped atomic.Bool  // a cell was skipped after cancellation
+	lost    atomic.Bool  // the lease was stolen mid-unit
+	done    bool         // completion marker published (set before handing back)
+}
+
+func newElasticPool(s *sweep) (*elasticPool, error) {
 	var store *persist.Cache
-	if tc != nil {
-		store = tc.diskStore()
+	if s.opt.TraceCache != nil {
+		store = s.opt.TraceCache.diskStore()
 	}
 	if store == nil {
 		return nil, errors.New("harness: an elastic sweep needs a trace cache with an attached shared store")
 	}
-	units := elasticUnits(wls, cfgs, scale, opt.CellInstrBudget)
-	grid := elasticGridID(units, scale)
-	gridTotal := len(wls) * len(cfgs)
+	n := len(s.units)
+	return &elasticPool{
+		s:     s,
+		store: store,
+		grid:  elasticGridID(s.units, s.scale),
+		// One slot per unit: a unit is handed back at most once per claim
+		// and never re-claimed before that handback is handled, so
+		// publishing workers never block on it.
+		unitDone:   make(chan *claimedUnit, n),
+		stats:      ElasticStats{Units: n},
+		markerDone: make([]bool, n),
+		inflight:   make([]bool, n),
+		slotsFree:  s.opt.EffectiveWorkers(),
+	}, nil
+}
 
-	type gridCell struct {
-		wl  workload.Workload
-		cfg BinaryConfig
-	}
-	cells := make([]gridCell, 0, gridTotal)
-	for _, wl := range wls {
-		for _, cfg := range cfgs {
-			cells = append(cells, gridCell{wl, cfg})
-		}
-	}
-
-	now := opt.Now
-	if now == nil {
-		now = time.Now
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := opt.EffectiveWorkers()
-	workerIDs := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		workerIDs <- w
-	}
-
-	// Outcome slots are indexed by grid position; distinct units never share
-	// a cell, so writers cannot collide, and everything is read only after
-	// the final wg.Wait.
-	outcomes := make([]cellOutcome, gridTotal)
-	computed := make([]bool, gridTotal)
-
-	emit := func(worker, gi int, start, end time.Time, o cellOutcome) {
-		if opt.OnCell == nil {
-			return
-		}
-		ev := CellEvent{
-			Worker: worker, Index: gi, Total: gridTotal,
-			Workload: cells[gi].wl.Name, Config: cells[gi].cfg.Name,
-			Start: start, End: end,
-			Err: o.err, Skipped: o.skipped,
-		}
-		if o.res != nil {
-			ev.Cycles = o.res.Cycles
-			ev.Source = o.res.Source
-			ev.Obs = o.res.Obs
-			if o.res.Stats != nil {
-				ev.Instrs = o.res.Stats.Instructions
-			}
-		}
-		opt.OnCell(ev)
-	}
-
-	workerTag := fmt.Sprintf("pid-%d", os.Getpid())
-	unitDone := make(chan unitResult, len(units))
-	var wg sync.WaitGroup
-
-	runUnit := func(ui int, claim *persist.Claim) {
-		defer wg.Done()
-		u := units[ui]
-		tc.planUnit(u.key, len(u.cells))
-		res := unitResult{unit: ui}
-		cancelled := false
-		var uwg sync.WaitGroup
-		for _, gi := range u.cells {
-			lost := false
-			select {
-			case <-claim.Lost():
-				lost = true
-			default:
-			}
-			if lost {
-				// The lease was stolen: the thief owns this unit now. Forfeit
-				// the remaining planned uses and leave the cells uncomputed —
-				// whatever we already published is idempotent, and the marker
-				// below stays unwritten.
-				res.leaseLost = true
-				tc.forfeit(u.key)
-				continue
-			}
-			if cctx.Err() != nil {
-				cancelled = true
-				tc.forfeit(u.key)
-				outcomes[gi] = cellOutcome{skipped: true}
-				computed[gi] = true
-				at := now()
-				emit(0, gi, at, at, outcomes[gi])
-				continue
-			}
-			w := <-workerIDs
-			uwg.Add(1)
-			res.cellsRun++
-			go func(worker, gi int) {
-				defer func() {
-					workerIDs <- worker
-					uwg.Done()
-				}()
-				lim := CellLimits{
-					MaxInstructions: opt.CellInstrBudget,
-					Timeout:         opt.CellTimeout,
-					Metrics:         opt.Metrics,
-					NeedWorld:       opt.NeedWorld,
-					Engine:          opt.Engine,
-				}
-				if dl, ok := cctx.Deadline(); ok {
-					rem := time.Until(dl)
-					if rem <= 0 {
-						tc.forfeit(u.key)
-						outcomes[gi] = cellOutcome{skipped: true}
-						computed[gi] = true
-						at := now()
-						emit(worker, gi, at, at, outcomes[gi])
-						return
-					}
-					if lim.Timeout == 0 || rem < lim.Timeout {
-						lim.Timeout = rem
-					}
-				}
-				start := now()
-				r, err := runCell(cells[gi].wl, cells[gi].cfg, scale, lim, tc)
-				outcomes[gi] = cellOutcome{res: r, err: err}
-				computed[gi] = true
-				emit(worker, gi, start, now(), outcomes[gi])
-				if err != nil && opt.FailFast {
-					cancel()
-				}
-			}(w, gi)
-		}
-		uwg.Wait()
-		if !res.leaseLost && !cancelled && cctx.Err() == nil {
-			// One synchronous renewal right before publishing: a worker whose
-			// lease was stolen since the last background renewal must not
-			// mark the unit done (the thief is recomputing it). Any other
-			// renewal failure fails open — an unanswerable lock plane never
-			// blocks publication, it only risks a duplicate.
-			if err := claim.Renew(); errors.Is(err, persist.ErrLeaseLost) {
-				res.leaseLost = true
-			} else {
-				marker := fmt.Sprintf("{\"unit\":%d,\"cells\":%d,\"worker\":%q}\n",
-					ui, len(u.cells), workerTag)
-				if store.PutMarker(elasticMarkerName(grid, ui), []byte(marker)) == nil {
-					res.done = true
-				}
-			}
-		}
-		claim.Release()
-		unitDone <- res
-	}
-
+// deal is the elastic dealing policy: claim units until the whole grid —
+// across every worker of the pool, not just this one — carries completion
+// markers, feeding each claimed unit's cells to the worker pool.
+func (p *elasticPool) deal(jobs chan<- job) {
+	ctx := p.s.ctx
 	// The wake goroutine turns the store's epoch long-poll into a channel
 	// the coordinator can select on; without an epoch plane (a directory
 	// store) WaitChange degrades to a bounded poll tick.
 	wake := make(chan struct{}, 1)
 	stopWake := make(chan struct{})
+	defer close(stopWake)
 	go func() {
 		var epoch uint64
 		for {
@@ -312,7 +159,7 @@ func runMatrixElastic(ctx context.Context, wls []workload.Workload, cfgs []Binar
 				return
 			default:
 			}
-			epoch = store.WaitChange(epoch, elasticWaitBound)
+			epoch = p.store.WaitChange(epoch, elasticWaitBound)
 			select {
 			case wake <- struct{}{}:
 			case <-stopWake:
@@ -320,170 +167,171 @@ func runMatrixElastic(ctx context.Context, wls []workload.Workload, cfgs []Binar
 			}
 		}
 	}()
-	defer close(stopWake)
 
-	stats := ElasticStats{Units: len(units)}
-	markerDone := make([]bool, len(units))
-	doneCount := 0
-	inflight := make([]bool, len(units))
-	slotsFree := workers
-
-	scan := func() {
-		names, err := store.ListMarkers(ElasticMarkerPrefix + grid + "-")
-		if err != nil {
-			return // transient: the next wake rescans
-		}
-		set := make(map[string]bool, len(names))
-		for _, n := range names {
-			set[n] = true
-		}
-		for ui := range units {
-			if !markerDone[ui] && set[elasticMarkerName(grid, ui)] {
-				markerDone[ui] = true
-				doneCount++
-			}
-		}
-	}
-	handle := func(r unitResult) {
-		inflight[r.unit] = false
-		slotsFree++
-		stats.CellsRun += r.cellsRun
-		if r.leaseLost {
-			stats.LeaseLost++
-		}
-		if r.done {
-			stats.Done++
-			if !markerDone[r.unit] {
-				markerDone[r.unit] = true
-				doneCount++
-			}
-		}
-	}
-	drainFinished := func() {
-		for {
-			select {
-			case r := <-unitDone:
-				handle(r)
-			default:
-				return
-			}
-		}
-	}
-
-	scan()
-	for doneCount < len(units) && cctx.Err() == nil {
+	p.scan()
+	for p.doneCount < len(p.s.units) && ctx.Err() == nil {
 		progress := false
-		for ui := range units {
-			if slotsFree == 0 {
+		for ui, u := range p.s.units {
+			if p.slotsFree == 0 {
 				break
 			}
-			if markerDone[ui] || inflight[ui] {
+			if p.markerDone[ui] || p.inflight[ui] {
 				continue
 			}
-			claim, ok := store.TryClaim(elasticClaimName(grid, ui))
+			claim, ok := p.store.TryClaim(elasticClaimName(p.grid, ui))
 			if !ok {
 				continue // a live worker holds it; steal only when stale
 			}
-			stats.Claimed++
+			progress = true
+			p.stats.Claimed++
 			if claim.Stolen {
-				stats.Steals++
+				p.stats.Steals++
 			}
 			// Re-check under the claim: the unit may have completed between
 			// our last scan and this grant. This is what guarantees a
 			// published unit is never recomputed — the marker goes up before
 			// its claim goes down, so any later claimant sees it here.
-			if _, err := store.GetMarker(elasticMarkerName(grid, ui)); err == nil {
+			if _, err := p.store.GetMarker(elasticMarkerName(p.grid, ui)); err == nil {
 				claim.Release()
-				markerDone[ui] = true
-				doneCount++
-				stats.Skipped++
-				progress = true
+				p.markDone(ui)
+				p.stats.Skipped++
 				continue
 			}
-			inflight[ui] = true
-			slotsFree--
-			progress = true
-			wg.Add(1)
-			go runUnit(ui, claim)
+			p.inflight[ui] = true
+			p.slotsFree--
+			p.s.plan(u)
+			cu := &claimedUnit{index: ui, claim: claim}
+			cu.pending.Store(int32(len(u.cells)))
+			for _, gi := range u.cells {
+				jobs <- job{cell: gi, unit: cu}
+			}
 		}
-		drainFinished()
-		if doneCount >= len(units) || progress {
+		p.drainFinished()
+		if p.doneCount >= len(p.s.units) || progress {
 			continue
 		}
 		// Nothing claimable: every remaining unit is held by a live worker
-		// (or the slots are full). Park until a unit finishes here or the
-		// store's state moves (a marker lands, a lease ages out).
+		// or in flight here, or every slot is taken. Park until a unit
+		// finishes here or the store's state moves (a marker lands, a lease
+		// ages out).
 		select {
-		case r := <-unitDone:
-			handle(r)
+		case u := <-p.unitDone:
+			p.handle(u)
 		case <-wake:
-			stats.DrainWaits++
-			scan()
-		case <-cctx.Done():
+			p.stats.DrainWaits++
+			p.scan()
+		case <-ctx.Done():
 		}
 	}
-	wg.Wait()
-	drainFinished()
+}
 
-	// Assemble this worker's computed cells in grid order (the same partial
-	// view a static shard returns; merge reassembles the full report).
-	m := &Matrix{
-		Cycles:  make(map[string]map[string]uint64),
-		Results: make(map[string]map[string]*RunResult),
-	}
-	for _, c := range cfgs {
-		m.Configs = append(m.Configs, c.Name)
-	}
-	merr := &MatrixError{}
-	for gi, c := range cells {
-		if !computed[gi] {
-			continue
+// runCell is a pool worker's step for one cell of a claimed unit. Once the
+// unit's lease is lost the thief owns it: the remaining cells are forfeited
+// uncomputed (whatever this worker already published is idempotent).
+func (p *elasticPool) runCell(worker int, j job) {
+	u := j.unit
+	select {
+	case <-u.claim.Lost():
+		u.lost.Store(true)
+		p.s.opt.TraceCache.forfeit(p.s.units[u.index].key)
+	default:
+		if p.s.runCell(worker, j.cell) {
+			u.ran.Add(1)
+		} else {
+			u.skipped.Store(true)
 		}
-		if _, ok := m.Cycles[c.wl.Name]; !ok {
-			m.Workloads = append(m.Workloads, c.wl.Name)
-			m.Cycles[c.wl.Name] = make(map[string]uint64)
-			m.Results[c.wl.Name] = make(map[string]*RunResult)
+	}
+	if u.pending.Add(-1) == 0 {
+		p.publish(u)
+	}
+}
+
+// publish finishes a unit whose cells have all been through the pool:
+// unless it was abandoned or cancelled, it records the completion marker,
+// then releases the claim and hands the unit back to the coordinator.
+func (p *elasticPool) publish(u *claimedUnit) {
+	if !u.lost.Load() && !u.skipped.Load() && p.s.ctx.Err() == nil {
+		// One synchronous renewal right before publishing: a worker whose
+		// lease was stolen since the last background renewal must not mark
+		// the unit done (the thief is recomputing it). Any other renewal
+		// failure fails open — an unanswerable lock plane never blocks
+		// publication, it only risks a duplicate.
+		if err := u.claim.Renew(); errors.Is(err, persist.ErrLeaseLost) {
+			u.lost.Store(true)
+		} else {
+			marker := fmt.Sprintf("{\"unit\":%d,\"cells\":%d,\"worker\":\"pid-%d\"}\n",
+				u.index, len(p.s.units[u.index].cells), os.Getpid())
+			u.done = p.store.PutMarker(elasticMarkerName(p.grid, u.index), []byte(marker)) == nil
 		}
-		switch o := outcomes[gi]; {
-		case o.skipped:
-			merr.Skipped++
-			m.AddHole(c.wl.Name, c.cfg.Name, "skipped (sweep cancelled)")
-		case o.err != nil:
-			merr.Cells = append(merr.Cells, &CellError{
-				Workload: c.wl.Name, Config: c.cfg.Name, Err: o.err,
-			})
-			m.AddHole(c.wl.Name, c.cfg.Name, holeReason(o.err))
+	}
+	u.claim.Release()
+	p.unitDone <- u
+}
+
+// scan marks every unit whose completion marker is in the store.
+func (p *elasticPool) scan() {
+	names, err := p.store.ListMarkers(ElasticMarkerPrefix + p.grid + "-")
+	if err != nil {
+		return // transient: the next wake rescans
+	}
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
+	}
+	for ui := range p.s.units {
+		if set[elasticMarkerName(p.grid, ui)] {
+			p.markDone(ui)
+		}
+	}
+}
+
+func (p *elasticPool) markDone(ui int) {
+	if !p.markerDone[ui] {
+		p.markerDone[ui] = true
+		p.doneCount++
+	}
+}
+
+// handle tallies one unit handed back by publish.
+func (p *elasticPool) handle(u *claimedUnit) {
+	p.inflight[u.index] = false
+	p.slotsFree++
+	p.stats.CellsRun += int(u.ran.Load())
+	if u.lost.Load() {
+		p.stats.LeaseLost++
+	}
+	if u.done {
+		p.stats.Done++
+		p.markDone(u.index)
+	}
+}
+
+// drainFinished handles every unit already handed back, without blocking.
+func (p *elasticPool) drainFinished() {
+	for {
+		select {
+		case u := <-p.unitDone:
+			p.handle(u)
 		default:
-			m.Cycles[c.wl.Name][c.cfg.Name] = o.res.Cycles
-			m.Results[c.wl.Name][c.cfg.Name] = o.res
+			return
 		}
 	}
-	if opt.Metrics {
-		if err := m.aggregateObs(); err != nil {
-			merr.Cells = append(merr.Cells, &CellError{Err: err})
-		}
-		tc.recordObs(m.Obs)
-		if m.Obs != nil {
-			// Pool participation counters. Unlike the static shard counters
-			// these describe scheduling (who claimed what when), so like the
-			// disk counters they sit outside the byte-identical-reports
-			// contract — which only ever applies to full-grid runs anyway.
-			m.Obs.Counter("harness.elastic.units").Add(uint64(stats.Units))
-			m.Obs.Counter("harness.elastic.claimed").Add(uint64(stats.Claimed))
-			m.Obs.Counter("harness.elastic.steals").Add(uint64(stats.Steals))
-			m.Obs.Counter("harness.elastic.done").Add(uint64(stats.Done))
-			m.Obs.Counter("harness.elastic.skipped").Add(uint64(stats.Skipped))
-			m.Obs.Counter("harness.elastic.lease_lost").Add(uint64(stats.LeaseLost))
-			m.Obs.Counter("harness.elastic.drain_waits").Add(uint64(stats.DrainWaits))
-			m.Obs.Counter("harness.elastic.cells").Add(uint64(stats.CellsRun))
-			m.Obs.Counter("harness.elastic.cells_total").Add(uint64(gridTotal))
-		}
-	}
-	if opt.OnElastic != nil {
-		opt.OnElastic(stats)
-	}
-	if len(merr.Cells) > 0 || merr.Skipped > 0 {
-		return m, merr
-	}
-	return m, nil
+}
+
+// recordObs adds the pool participation counters to a sweep registry.
+// Unlike the static shard counters these describe scheduling (who claimed
+// what when), so like the disk counters they sit outside the
+// byte-identical-reports contract — which only ever applies to full-grid
+// runs anyway.
+func (p *elasticPool) recordObs(r *obs.Registry) {
+	st := p.stats
+	r.Counter("harness.elastic.units").Add(uint64(st.Units))
+	r.Counter("harness.elastic.claimed").Add(uint64(st.Claimed))
+	r.Counter("harness.elastic.steals").Add(uint64(st.Steals))
+	r.Counter("harness.elastic.done").Add(uint64(st.Done))
+	r.Counter("harness.elastic.skipped").Add(uint64(st.Skipped))
+	r.Counter("harness.elastic.lease_lost").Add(uint64(st.LeaseLost))
+	r.Counter("harness.elastic.drain_waits").Add(uint64(st.DrainWaits))
+	r.Counter("harness.elastic.cells").Add(uint64(st.CellsRun))
+	r.Counter("harness.elastic.cells_total").Add(uint64(len(p.s.outcomes)))
 }

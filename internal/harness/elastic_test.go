@@ -24,7 +24,7 @@ func elasticRender(t *testing.T, tc *TraceCache, workers int) (ElasticStats, *Ma
 	t.Helper()
 	var stats ElasticStats
 	m, err := RunMatrixParallel(context.Background(), subset(t, "lbm"), Fig8SensitivityConfigs(), 1,
-		ParallelOptions{Workers: workers, TraceCache: tc, Elastic: true,
+		ParallelOptions{Workers: workers, TraceCache: tc, Shard: Shard{Count: elasticCount},
 			OnElastic: func(s ElasticStats) { stats = s }})
 	if err != nil {
 		t.Fatalf("elastic sweep: %v", err)
@@ -38,12 +38,12 @@ func elasticRender(t *testing.T, tc *TraceCache, workers int) (ElasticStats, *Ma
 func TestElasticNeedsStore(t *testing.T) {
 	t.Parallel()
 	_, err := RunMatrixParallel(context.Background(), subset(t, "lbm"), Fig8SensitivityConfigs()[:1], 1,
-		ParallelOptions{Elastic: true})
+		ParallelOptions{Shard: Shard{Count: elasticCount}})
 	if err == nil || !strings.Contains(err.Error(), "shared store") {
 		t.Fatalf("elastic without a store: %v", err)
 	}
 	_, err = RunMatrixParallel(context.Background(), subset(t, "lbm"), Fig8SensitivityConfigs()[:1], 1,
-		ParallelOptions{Elastic: true, TraceCache: NewTraceCache()})
+		ParallelOptions{Shard: Shard{Count: elasticCount}, TraceCache: NewTraceCache()})
 	if err == nil || !strings.Contains(err.Error(), "shared store") {
 		t.Fatalf("elastic without a disk tier: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestElasticKilledWorkerSteal(t *testing.T) {
 
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
-	units := elasticUnits(wls, cfgs, 1, 0)
+	units := gridUnits(wls, cfgs, 1, 0)
 	grid := elasticGridID(units, 1)
 
 	// The dead worker: holds unit 0's claim, renews nothing, publishes
@@ -211,7 +211,7 @@ func TestElasticLeaseLostAbandons(t *testing.T) {
 
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
-	units := elasticUnits(wls, cfgs, 1, 0)
+	units := gridUnits(wls, cfgs, 1, 0)
 	grid := elasticGridID(units, 1)
 
 	thief, err := persist.NewHTTPBackend(url, persist.HTTPOptions{RenewEvery: -1})
@@ -238,7 +238,7 @@ func TestElasticLeaseLostAbandons(t *testing.T) {
 	var stolenUnit int
 	var stats ElasticStats
 	m, err := RunMatrixParallel(context.Background(), wls, cfgs, 1,
-		ParallelOptions{Workers: 1, TraceCache: vtc, Elastic: true,
+		ParallelOptions{Workers: 1, TraceCache: vtc, Shard: Shard{Count: elasticCount},
 			OnElastic: func(s ElasticStats) { stats = s },
 			OnCell: func(ev CellEvent) {
 				once.Do(func() {
@@ -312,7 +312,7 @@ func TestElasticChaosDrains(t *testing.T) {
 	}
 	tc, _ := httpTC(t, url, persist.Options{Chaos: spec, Retries: 1})
 	if _, err := RunMatrixParallel(context.Background(), subset(t, "lbm"), Fig8SensitivityConfigs(), 1,
-		ParallelOptions{Workers: 2, TraceCache: tc, Elastic: true}); err != nil {
+		ParallelOptions{Workers: 2, TraceCache: tc, Shard: Shard{Count: elasticCount}}); err != nil {
 		t.Fatalf("elastic under chaos: %v", err)
 	}
 
@@ -332,7 +332,7 @@ func TestElasticObsCounters(t *testing.T) {
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
 	m, err := RunMatrixParallel(context.Background(), wls, cfgs, 1,
-		ParallelOptions{Workers: 2, TraceCache: tc, Elastic: true, Metrics: true})
+		ParallelOptions{Workers: 2, TraceCache: tc, Shard: Shard{Count: elasticCount}, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestElasticUnitNumbering(t *testing.T) {
 	t.Parallel()
 	wls := subset(t, "lbm")
 	cfgs := Fig8SensitivityConfigs()
-	units := elasticUnits(wls, cfgs, 1, 0)
+	units := gridUnits(wls, cfgs, 1, 0)
 	if len(units) == 0 || len(units) >= len(wls)*len(cfgs) {
 		t.Fatalf("degenerate unit partition: %d units over %d cells", len(units), len(wls)*len(cfgs))
 	}
@@ -409,7 +409,7 @@ func TestElasticCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunMatrixParallel(ctx, subset(t, "lbm"), Fig8SensitivityConfigs(), 1,
-		ParallelOptions{Workers: 2, TraceCache: tc, Elastic: true})
+		ParallelOptions{Workers: 2, TraceCache: tc, Shard: Shard{Count: elasticCount}})
 	var merr *MatrixError
 	if err != nil && !errors.As(err, &merr) {
 		t.Fatalf("cancelled pool: %v", err)

@@ -97,13 +97,13 @@ func TestEngineDifferentialMatrix(t *testing.T) {
 			wl, cfg := wl, cfg
 			t.Run(wl.Name+"/"+cfg.Name, func(t *testing.T) {
 				t.Parallel()
-				ref, err := RunLimited(wl, cfg, 1, CellLimits{
-					Metrics: true, NeedWorld: true, Engine: sim.EngineRef})
+				ref, err := RunCached(wl, cfg, 1, CellLimits{
+					Metrics: true, NeedWorld: true, Engine: sim.EngineRef}, nil)
 				if err != nil {
 					t.Fatalf("ref run: %v", err)
 				}
-				blk, err := RunLimited(wl, cfg, 1, CellLimits{
-					Metrics: true, NeedWorld: true, Engine: sim.EngineBlocks})
+				blk, err := RunCached(wl, cfg, 1, CellLimits{
+					Metrics: true, NeedWorld: true, Engine: sim.EngineBlocks}, nil)
 				if err != nil {
 					t.Fatalf("blocks run: %v", err)
 				}

@@ -120,6 +120,41 @@ func TestCellEventSourceTags(t *testing.T) {
 	}
 }
 
+// A static shard's events name cells by their full-grid position: each
+// shard reports the unsharded run's Index and Total for the same cell, so
+// the (sweep, Index) span ids of a distributed run never collide.
+func TestCellEventShardGridIndex(t *testing.T) {
+	t.Parallel()
+	cfgs := fig7Grid()
+	grid := map[string]int{}
+	for _, ev := range collectEvents(t, cfgs, ParallelOptions{Workers: 2}) {
+		grid[ev.Workload+"/"+ev.Config] = ev.Index
+	}
+	spans := map[string]string{}
+	for k := 1; k <= 2; k++ {
+		sh := Shard{Index: k - 1, Count: 2}
+		evs := collectEvents(t, cfgs, ParallelOptions{Workers: 2, Shard: sh})
+		if len(evs) == 0 || len(evs) == len(grid) {
+			t.Fatalf("shard %s ran %d of %d cells; want a proper slice", sh, len(evs), len(grid))
+		}
+		for _, ev := range evs {
+			cell := ev.Workload + "/" + ev.Config
+			if want := grid[cell]; ev.Index != want || ev.Total != len(grid) {
+				t.Errorf("shard %s: cell %s has Index %d/%d, want the grid's %d/%d",
+					sh, cell, ev.Index, ev.Total, want, len(grid))
+			}
+			id := otlp.SpanID("fig7", ev.Index)
+			if prev, dup := spans[id]; dup {
+				t.Errorf("span id of %s on shard %s collides with %s", cell, sh, prev)
+			}
+			spans[id] = cell + " on " + sh.String()
+		}
+	}
+	if len(spans) != len(grid) {
+		t.Errorf("shards emitted %d distinct spans, want %d", len(spans), len(grid))
+	}
+}
+
 // Obs rides the event stream only when the sweep collects metrics.
 func TestCellEventObsAttachment(t *testing.T) {
 	t.Parallel()

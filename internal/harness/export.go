@@ -38,8 +38,8 @@ type TelemetryExporter struct {
 	TraceCache *TraceCache
 	// Now is the export clock (nil = time.Now), injected in tests.
 	Now func() time.Time
-	// Shard, when enabled, stamps every snapshot with the process's slice of
-	// a distributed sweep, so an attached -watch dashboard can tell which
+	// Shard, when a static slice, stamps every snapshot with the process's
+	// slice of a distributed sweep, so an attached -watch dashboard can tell which
 	// shard it is looking at.
 	Shard Shard
 
@@ -141,7 +141,7 @@ func (x *TelemetryExporter) Snapshot() []obs.Metric {
 		x.TraceCache.recordObs(reg)
 		x.TraceCache.recordDiskObs(reg)
 	}
-	if x.Shard.Enabled() {
+	if x.Shard.Enabled() && !x.Shard.Elastic() {
 		reg.Gauge("harness.shard.index").Set(uint64(x.Shard.Index))
 		reg.Gauge("harness.shard.count").Set(uint64(x.Shard.Count))
 	}

@@ -56,14 +56,10 @@ func (r *Fig3Result) Metrics() *MetricsReport {
 	return r.Matrix.Metrics("fig3")
 }
 
-// RunFig3 regenerates Figure 3's ASan overhead breakdown on the parallel
-// sweep engine at its default worker count. The context bounds the whole
-// figure (cmd/restbench -timeout reaches every report path through it).
-func RunFig3(ctx context.Context, wls []workload.Workload, scale int64) (*Fig3Result, error) {
-	return RunFig3Parallel(ctx, wls, scale, ParallelOptions{})
-}
-
-// RunFig3Parallel is RunFig3 with explicit sweep options (cmd/restbench -j).
+// RunFig3Parallel regenerates Figure 3's ASan overhead breakdown on the
+// sweep engine (opt.Workers as cmd/restbench -j; the zero ParallelOptions
+// runs at the default worker count). The context bounds the whole figure
+// (cmd/restbench -timeout reaches every report path through it).
 // A sweep with failed cells still returns the partial breakdown: the
 // workloads whose five levels all completed are computed normally, the rest
 // become annotated holes, and the *MatrixError comes back alongside so the

@@ -119,21 +119,12 @@ type CellLimits struct {
 	Engine sim.Engine
 }
 
-// Run executes one workload under one configuration at the given scale.
-func Run(wl workload.Workload, cfg BinaryConfig, scale int64) (*RunResult, error) {
-	return RunLimited(wl, cfg, scale, CellLimits{})
-}
-
-// RunLimited is Run under explicit watchdog budgets.
-func RunLimited(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits) (*RunResult, error) {
-	return RunCached(wl, cfg, scale, lim, nil)
-}
-
-// RunCached is RunLimited through an optional trace cache: with a non-nil tc
-// the cell captures, replays or bypasses per its planned role (see
-// TraceCache); with nil it streams the functional simulator through the
-// timing model the ordinary way. Either path returns identical results —
-// the replay differential tests pin the equivalence.
+// RunCached executes one workload under one configuration at the given
+// scale, within lim's watchdog budgets and through an optional trace cache:
+// with a non-nil tc the cell captures, replays or bypasses per its planned
+// role (see TraceCache); with nil it streams the functional simulator
+// through the timing model the ordinary way. Either path returns identical
+// results — the replay differential tests pin the equivalence.
 func RunCached(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, tc *TraceCache) (*RunResult, error) {
 	if tc == nil {
 		return runStreamed(wl, cfg, scale, lim, nil)
@@ -389,7 +380,7 @@ func RunMatrixObserved(wls []workload.Workload, cfgs []BinaryConfig, scale int64
 		m.Cycles[wl.Name] = make(map[string]uint64)
 		m.Results[wl.Name] = make(map[string]*RunResult)
 		for _, cfg := range cfgs {
-			r, err := RunLimited(wl, cfg, scale, CellLimits{Metrics: true})
+			r, err := RunCached(wl, cfg, scale, CellLimits{Metrics: true}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -429,7 +420,7 @@ func RunMatrix(wls []workload.Workload, cfgs []BinaryConfig, scale int64) (*Matr
 		m.Cycles[wl.Name] = make(map[string]uint64)
 		m.Results[wl.Name] = make(map[string]*RunResult)
 		for _, cfg := range cfgs {
-			r, err := Run(wl, cfg, scale)
+			r, err := RunCached(wl, cfg, scale, CellLimits{}, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -23,7 +23,7 @@ func subset(t *testing.T, names ...string) []workload.Workload {
 
 func TestRunSingle(t *testing.T) {
 	wl, _ := workload.ByName("lbm")
-	r, err := Run(wl, Fig7Configs()[0], 1)
+	r, err := RunCached(wl, Fig7Configs()[0], 1, CellLimits{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMatrixOverheads(t *testing.T) {
 
 func TestFig3Breakdown(t *testing.T) {
 	wls := subset(t, "xalanc", "lbm")
-	r, err := RunFig3(context.Background(), wls, 1)
+	r, err := RunFig3Parallel(context.Background(), wls, 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTableRenderers(t *testing.T) {
 
 func TestMicroStats(t *testing.T) {
 	wl, _ := workload.ByName("xalanc")
-	s, err := RunMicroStats(context.Background(), wl, 1)
+	s, err := RunMicroStatsParallel(context.Background(), wl, 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

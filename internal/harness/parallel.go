@@ -15,7 +15,7 @@ import (
 	"rest/internal/workload"
 )
 
-// The parallel sweep engine. Every cell of the workload × config grid is an
+// The sweep engine. Every cell of the workload × config grid is an
 // independent simulation: world.Build assembles a fully self-contained World
 // (its own memory, allocator, token register with a per-world seeded RNG,
 // cache hierarchy, predictor and core), so cells can run concurrently with
@@ -24,6 +24,13 @@ import (
 // are deterministic functions of (workload, config, scale), and results are
 // assembled in grid order regardless of completion order. The determinism
 // differential tests pin this guarantee.
+//
+// There is one engine: one unit list (gridUnits), one fixed worker pool
+// reading grid indices, one cell runner, one CellEvent emitter and one
+// grid-order assembly. What varies is only how units are dealt into the
+// pool (see Shard): every unit for an unsharded sweep, the units Owns picks
+// for a static shard — both fed in grid order — or, for the elastic pool,
+// the units this process wins a lease on (elastic.go).
 
 // ParallelOptions configures RunMatrixParallel.
 type ParallelOptions struct {
@@ -73,13 +80,17 @@ type ParallelOptions struct {
 	// CellEvent timestamps are deterministic; the simulation itself never
 	// reads it.
 	Now func() time.Time
-	// Shard restricts the sweep to the grid cells one shard of a distributed
-	// run owns (the zero value runs the full grid). The returned Matrix
-	// contains only the owned cells; reassembling the full grid is a warm
-	// re-run of the unsharded sweep over the shared persistent cache (every
-	// computed cell is a result-store hit, anything a killed shard left
-	// behind is recomputed), which is what keeps merged reports byte-identical
-	// to a single-process run at any shard count.
+	// Shard restricts the sweep to this process's share of a distributed
+	// run (the zero value runs the full grid): a static slice i/n, or the
+	// elastic pool (ParseShard("auto")), which claims units via leases on
+	// the shared store's lock plane and exits when the whole grid has
+	// drained — across every worker, not just this one; it requires a
+	// TraceCache with an attached persistent store. The returned Matrix
+	// contains only the cells this process ran; reassembling the full grid
+	// is a warm re-run of the unsharded sweep over the shared persistent
+	// cache (every computed cell is a result-store hit, anything a killed
+	// worker left behind is recomputed), which is what keeps merged reports
+	// byte-identical to a single-process run at any shard count.
 	Shard Shard
 	// OnPlan, when non-nil, is called once before any cell runs with the
 	// number of grid cells this process will execute and the full grid size.
@@ -90,15 +101,8 @@ type ParallelOptions struct {
 	// Elastic sweeps never call it: what this process will run is decided by
 	// the pool, one claim at a time (OnElastic reports the tally instead).
 	OnPlan func(owned, total int)
-	// Elastic switches the sweep from the static Shard partition to the
-	// work-stealing pool (elastic.go): units are claimed via leases on the
-	// shared store's lock plane, completions are recorded as markers, and
-	// the sweep exits when the whole grid has drained — across every worker,
-	// not just this one. Requires a TraceCache with an attached persistent
-	// store; mutually exclusive with Shard.
-	Elastic bool
 	// OnElastic, when non-nil, receives this worker's pool participation
-	// tally once the elastic sweep drains. Ignored unless Elastic is set.
+	// tally once the elastic sweep drains. Ignored unless Shard is elastic.
 	OnElastic func(ElasticStats)
 }
 
@@ -108,7 +112,9 @@ type ParallelOptions struct {
 type CellEvent struct {
 	// Worker is the worker-pool slot (0-based) that processed the cell.
 	Worker int
-	// Index is the cell's grid-order position; Total is the grid size.
+	// Index is the cell's position in the full grid (workload-major) and
+	// Total the full grid's size — also on a shard, which runs only part of
+	// it, so (sweep, Index) names one cell across every process.
 	Index, Total int
 	Workload     string
 	Config       string
@@ -171,10 +177,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic: %v\n%s", e.Value, e.Stack)
 }
 
-// runCell executes one cell with panic containment: a panic anywhere under
-// Run (workload builder, world assembly, simulation, timing model) comes
-// back as a *PanicError instead of unwinding the worker goroutine.
-func runCell(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, tc *TraceCache) (res *RunResult, err error) {
+// runContained executes one cell with panic containment: a panic anywhere
+// under RunCached (workload builder, world assembly, simulation, timing
+// model) comes back as a *PanicError instead of unwinding the worker
+// goroutine.
+func runContained(wl workload.Workload, cfg BinaryConfig, scale int64, lim CellLimits, tc *TraceCache) (res *RunResult, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
@@ -233,11 +240,45 @@ func (e *MatrixError) Unwrap() []error {
 	return out
 }
 
-// cellOutcome is one worker's report for one grid cell.
+// orNil returns e as an error, or nil when no cell failed or was skipped.
+func (e *MatrixError) orNil() error {
+	if len(e.Cells) > 0 || e.Skipped > 0 {
+		return e
+	}
+	return nil
+}
+
+// cellOutcome is one worker's report for one grid cell. done marks a cell
+// this process ran or skipped; cells it never dealt (another shard's units,
+// the rest of a stolen unit) stay zero and are left out of the Matrix.
 type cellOutcome struct {
 	res     *RunResult
 	err     error
+	done    bool
 	skipped bool
+}
+
+// job is one grid cell dealt to the worker pool; unit is the elastic claim
+// it runs under (nil for unsharded and static sweeps).
+type job struct {
+	cell int
+	unit *claimedUnit
+}
+
+// sweep is one RunMatrixParallel call's state. outcomes is indexed by grid
+// position and each slot is written only by the worker that ran its cell,
+// so workers never collide; it is read after the pool drains.
+type sweep struct {
+	ctx      context.Context
+	cancel   context.CancelFunc
+	opt      ParallelOptions
+	scale    int64
+	now      func() time.Time
+	wls      []workload.Workload
+	cfgs     []BinaryConfig
+	units    []sweepUnit
+	outcomes []cellOutcome
+	elastic  *elasticPool // nil unless opt.Shard is elastic
 }
 
 // RunMatrixParallel sweeps the workloads × configs grid on a worker pool.
@@ -258,176 +299,222 @@ type cellOutcome struct {
 // cell becomes an annotated hole in the partial Matrix (Matrix.Holes) and
 // one entry of the grid-ordered MatrixError.
 func RunMatrixParallel(ctx context.Context, wls []workload.Workload, cfgs []BinaryConfig, scale int64, opt ParallelOptions) (*Matrix, error) {
-	if opt.Elastic {
-		return runMatrixElastic(ctx, wls, cfgs, scale, opt)
+	s := &sweep{
+		opt: opt, scale: scale, now: opt.Now, wls: wls, cfgs: cfgs,
+		units:    gridUnits(wls, cfgs, scale, opt.CellInstrBudget),
+		outcomes: make([]cellOutcome, len(wls)*len(cfgs)),
 	}
-	type cell struct {
-		wl  workload.Workload
-		cfg BinaryConfig
+	if s.now == nil {
+		s.now = time.Now
 	}
-	gridTotal := len(wls) * len(cfgs)
-	owned := opt.Shard.ownership(wls, cfgs, scale, opt.CellInstrBudget)
-	cells := make([]cell, 0, gridTotal)
-	idx := 0
-	for _, wl := range wls {
-		for _, cfg := range cfgs {
-			if owned[idx] {
-				cells = append(cells, cell{wl, cfg})
-			}
-			idx++
+	s.ctx, s.cancel = context.WithCancel(ctx)
+	defer s.cancel()
+
+	if opt.Shard.Elastic() {
+		p, err := newElasticPool(s)
+		if err != nil {
+			return nil, err
+		}
+		s.elastic = p
+		s.pool(opt.EffectiveWorkers(), p.deal)
+		p.drainFinished()
+		m, merr := s.assemble()
+		if opt.Metrics && m.Obs != nil {
+			p.recordObs(m.Obs)
+		}
+		if opt.OnElastic != nil {
+			opt.OnElastic(p.stats)
+		}
+		return m, merr.orNil()
+	}
+
+	// Unsharded and static sweeps plan their units into the trace cache
+	// before any cell runs, so capture/replay/bypass roles are a function of
+	// the grid alone, not of scheduling, then deal the cells in grid order.
+	owned := opt.Shard.ownership(s.units, len(s.outcomes))
+	n := 0
+	for _, u := range s.units {
+		if owned[u.cells[0]] {
+			s.plan(u)
+			n += len(u.cells)
 		}
 	}
 	if opt.OnPlan != nil {
-		opt.OnPlan(len(cells), gridTotal)
+		opt.OnPlan(n, len(s.outcomes))
 	}
-	if opt.TraceCache != nil {
-		// Register the grid before any cell runs, so capture/replay/bypass
-		// roles are a function of the grid alone, not of scheduling. A shard
-		// plans only its own cells (see PlanShard).
-		opt.TraceCache.PlanShard(wls, cfgs, scale, opt.CellInstrBudget, opt.Shard)
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	now := opt.Now
-	if now == nil {
-		now = time.Now
-	}
-	outcomes := make([]cellOutcome, len(cells))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := opt.EffectiveWorkers()
-	if workers > len(cells) && len(cells) > 0 {
-		workers = len(cells)
-	}
-	emit := func(worker, i int, start, end time.Time, o cellOutcome) {
-		if opt.OnCell == nil {
-			return
-		}
-		ev := CellEvent{
-			Worker: worker, Index: i, Total: len(cells),
-			Workload: cells[i].wl.Name, Config: cells[i].cfg.Name,
-			Start: start, End: end,
-			Err: o.err, Skipped: o.skipped,
-		}
-		if o.res != nil {
-			ev.Cycles = o.res.Cycles
-			ev.Source = o.res.Source
-			ev.Obs = o.res.Obs
-			if o.res.Stats != nil {
-				ev.Instrs = o.res.Stats.Instructions
+	s.pool(min(opt.EffectiveWorkers(), n), func(jobs chan<- job) {
+		for gi, ok := range owned {
+			if ok {
+				jobs <- job{cell: gi}
 			}
 		}
-		opt.OnCell(ev)
+	})
+	m, merr := s.assemble()
+	if opt.Metrics && opt.Shard.Enabled() && m.Obs != nil {
+		// Shard identity and coverage, so a distributed sweep's metric
+		// stream says which slice of which grid this process ran.
+		m.Obs.Counter("harness.shard.index").Add(uint64(opt.Shard.Index))
+		m.Obs.Counter("harness.shard.count").Add(uint64(opt.Shard.Count))
+		m.Obs.Counter("harness.shard.cells").Add(uint64(n))
+		m.Obs.Counter("harness.shard.cells_total").Add(uint64(len(s.outcomes)))
 	}
+	return m, merr.orNil()
+}
+
+// plan registers unit u's upcoming uses with the trace cache (if any). A
+// process plans only the units it deals itself: planning another process's
+// cells would install capture leaders no local cell executes, stranding
+// local waiters and leaking the plan's refcounts. Cross-process
+// deduplication rides the persistent store's single-flight capture locks.
+func (s *sweep) plan(u sweepUnit) {
+	if tc := s.opt.TraceCache; tc != nil {
+		tc.planUnit(u.key, len(u.cells))
+	}
+}
+
+// pool runs dealt cells on a fixed set of workers. deal hands grid cells to
+// the pool and returns once it has none left; pool returns when every dealt
+// cell has finished.
+func (s *sweep) pool(workers int, deal func(jobs chan<- job)) {
+	jobs := make(chan job)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			skip := func(i int) {
-				outcomes[i].skipped = true
-				if opt.TraceCache != nil {
-					// Release the skipped cell's planned use so the cache's
-					// refcounts still drain to zero.
-					opt.TraceCache.forfeit(cellTraceKey(
-						cells[i].wl.Name, cells[i].cfg, scale, opt.CellInstrBudget))
-				}
-				at := now()
-				emit(worker, i, at, at, outcomes[i])
-			}
-			for i := range jobs {
-				// Each worker writes only its own slot; no locking needed.
-				if cctx.Err() != nil {
-					skip(i)
-					continue
-				}
-				// Per-cell watchdog: the explicit cell timeout, tightened by
-				// whatever remains of the caller context's deadline.
-				lim := CellLimits{
-					MaxInstructions: opt.CellInstrBudget,
-					Timeout:         opt.CellTimeout,
-					Metrics:         opt.Metrics,
-					NeedWorld:       opt.NeedWorld,
-					Engine:          opt.Engine,
-				}
-				if dl, ok := cctx.Deadline(); ok {
-					rem := time.Until(dl)
-					if rem <= 0 {
-						skip(i)
-						continue
-					}
-					if lim.Timeout == 0 || rem < lim.Timeout {
-						lim.Timeout = rem
-					}
-				}
-				start := now()
-				r, err := runCell(cells[i].wl, cells[i].cfg, scale, lim, opt.TraceCache)
-				outcomes[i] = cellOutcome{res: r, err: err}
-				emit(worker, i, start, now(), outcomes[i])
-				if err != nil && opt.FailFast {
-					cancel()
+			for j := range jobs {
+				if j.unit != nil {
+					s.elastic.runCell(worker, j)
+				} else {
+					s.runCell(worker, j.cell)
 				}
 			}
 		}(w)
 	}
-	for i := range cells {
-		jobs <- i
-	}
+	deal(jobs)
 	close(jobs)
 	wg.Wait()
+}
 
-	// Assemble in grid order so the Matrix (and any aggregated error) is
-	// identical no matter which worker finished first.
+// cell returns grid cell gi's workload and config (the grid is
+// workload-major).
+func (s *sweep) cell(gi int) (workload.Workload, BinaryConfig) {
+	return s.wls[gi/len(s.cfgs)], s.cfgs[gi%len(s.cfgs)]
+}
+
+// runCell runs grid cell gi on a worker and records and emits its outcome.
+// The cell's watchdog is the explicit cell timeout, tightened by whatever
+// remains of the context's deadline; a cell reached after cancellation (or
+// past the deadline) is skipped instead, and its planned trace-cache use is
+// forfeited so the cache's refcounts still drain to zero. It reports whether
+// the cell ran.
+func (s *sweep) runCell(worker, gi int) bool {
+	wl, cfg := s.cell(gi)
+	lim := CellLimits{
+		MaxInstructions: s.opt.CellInstrBudget,
+		Timeout:         s.opt.CellTimeout,
+		Metrics:         s.opt.Metrics,
+		NeedWorld:       s.opt.NeedWorld,
+		Engine:          s.opt.Engine,
+	}
+	skip := s.ctx.Err() != nil
+	if dl, ok := s.ctx.Deadline(); ok && !skip {
+		rem := time.Until(dl)
+		skip = rem <= 0
+		if lim.Timeout == 0 || rem < lim.Timeout {
+			lim.Timeout = rem
+		}
+	}
+	if skip {
+		if tc := s.opt.TraceCache; tc != nil {
+			tc.forfeit(cellTraceKey(wl.Name, cfg, s.scale, s.opt.CellInstrBudget))
+		}
+		s.outcomes[gi] = cellOutcome{done: true, skipped: true}
+		at := s.now()
+		s.emit(worker, gi, at, at)
+		return false
+	}
+	start := s.now()
+	r, err := runContained(wl, cfg, s.scale, lim, s.opt.TraceCache)
+	s.outcomes[gi] = cellOutcome{res: r, err: err, done: true}
+	s.emit(worker, gi, start, s.now())
+	if err != nil && s.opt.FailFast {
+		s.cancel()
+	}
+	return true
+}
+
+// emit delivers cell gi's CellEvent to opt.OnCell (if set).
+func (s *sweep) emit(worker, gi int, start, end time.Time) {
+	if s.opt.OnCell == nil {
+		return
+	}
+	wl, cfg := s.cell(gi)
+	o := s.outcomes[gi]
+	ev := CellEvent{
+		Worker: worker, Index: gi, Total: len(s.outcomes),
+		Workload: wl.Name, Config: cfg.Name,
+		Start: start, End: end,
+		Err: o.err, Skipped: o.skipped,
+	}
+	if o.res != nil {
+		ev.Cycles = o.res.Cycles
+		ev.Source = o.res.Source
+		ev.Obs = o.res.Obs
+		if o.res.Stats != nil {
+			ev.Instrs = o.res.Stats.Instructions
+		}
+	}
+	s.opt.OnCell(ev)
+}
+
+// assemble builds the Matrix of the cells this process ran in grid order, so
+// the Matrix (and any aggregated error) is identical no matter which worker
+// finished first.
+func (s *sweep) assemble() (*Matrix, *MatrixError) {
 	m := &Matrix{
 		Cycles:  make(map[string]map[string]uint64),
 		Results: make(map[string]map[string]*RunResult),
 	}
-	for _, c := range cfgs {
+	for _, c := range s.cfgs {
 		m.Configs = append(m.Configs, c.Name)
 	}
 	merr := &MatrixError{}
-	for i, c := range cells {
-		if _, ok := m.Cycles[c.wl.Name]; !ok {
-			m.Workloads = append(m.Workloads, c.wl.Name)
-			m.Cycles[c.wl.Name] = make(map[string]uint64)
-			m.Results[c.wl.Name] = make(map[string]*RunResult)
+	for gi := range s.outcomes {
+		o := &s.outcomes[gi]
+		if !o.done {
+			continue
 		}
-		switch o := outcomes[i]; {
+		wl, cfg := s.cell(gi)
+		if _, ok := m.Cycles[wl.Name]; !ok {
+			m.Workloads = append(m.Workloads, wl.Name)
+			m.Cycles[wl.Name] = make(map[string]uint64)
+			m.Results[wl.Name] = make(map[string]*RunResult)
+		}
+		switch {
 		case o.skipped:
 			merr.Skipped++
-			m.AddHole(c.wl.Name, c.cfg.Name, "skipped (sweep cancelled)")
+			m.AddHole(wl.Name, cfg.Name, "skipped (sweep cancelled)")
 		case o.err != nil:
 			merr.Cells = append(merr.Cells, &CellError{
-				Workload: c.wl.Name, Config: c.cfg.Name, Err: o.err,
+				Workload: wl.Name, Config: cfg.Name, Err: o.err,
 			})
-			m.AddHole(c.wl.Name, c.cfg.Name, holeReason(o.err))
+			m.AddHole(wl.Name, cfg.Name, holeReason(o.err))
 		default:
-			m.Cycles[c.wl.Name][c.cfg.Name] = o.res.Cycles
-			m.Results[c.wl.Name][c.cfg.Name] = o.res
+			m.Cycles[wl.Name][cfg.Name] = o.res.Cycles
+			m.Results[wl.Name][cfg.Name] = o.res
 		}
 	}
-	if opt.Metrics {
+	if s.opt.Metrics {
 		// Grid-order merge of the per-cell registries; merge errors are
 		// impossible by construction (every cell registers identical
 		// histogram bounds) but surfaced rather than swallowed.
 		if err := m.aggregateObs(); err != nil {
 			merr.Cells = append(merr.Cells, &CellError{Err: err})
 		}
-		if opt.TraceCache != nil {
-			opt.TraceCache.recordObs(m.Obs)
-		}
-		if opt.Shard.Enabled() && m.Obs != nil {
-			// Shard identity and coverage, so a distributed sweep's metric
-			// stream says which slice of which grid this process ran.
-			m.Obs.Counter("harness.shard.index").Add(uint64(opt.Shard.Index))
-			m.Obs.Counter("harness.shard.count").Add(uint64(opt.Shard.Count))
-			m.Obs.Counter("harness.shard.cells").Add(uint64(len(cells)))
-			m.Obs.Counter("harness.shard.cells_total").Add(uint64(gridTotal))
+		if tc := s.opt.TraceCache; tc != nil {
+			tc.recordObs(m.Obs)
 		}
 	}
-	if len(merr.Cells) > 0 || merr.Skipped > 0 {
-		return m, merr
-	}
-	return m, nil
+	return m, merr
 }

@@ -90,7 +90,7 @@ func TestReplayDifferentialMatrix(t *testing.T) {
 				if hits, misses, _ := tc.Counters(); hits != 1 || misses != 1 {
 					t.Fatalf("cache roles wrong: hits=%d misses=%d (want 1 capture + 1 replay)", hits, misses)
 				}
-				streamed, err := RunLimited(wl, cfg, 1, lim)
+				streamed, err := RunCached(wl, cfg, 1, lim, nil)
 				if err != nil {
 					t.Fatalf("streamed run: %v", err)
 				}
@@ -125,7 +125,7 @@ func TestReplayCrossTimingDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s cached: %v", cfg.Name, err)
 				}
-				streamed, err := RunLimited(wl, cfg, 1, CellLimits{})
+				streamed, err := RunCached(wl, cfg, 1, CellLimits{}, nil)
 				if err != nil {
 					t.Fatalf("%s streamed: %v", cfg.Name, err)
 				}

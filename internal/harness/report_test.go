@@ -46,7 +46,7 @@ func TestMatrixJSON(t *testing.T) {
 }
 
 func TestFig3JSON(t *testing.T) {
-	r, err := RunFig3(context.Background(), subset(t, "lbm"), 1)
+	r, err := RunFig3Parallel(context.Background(), subset(t, "lbm"), 1, ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,44 +8,59 @@ import (
 	"rest/internal/workload"
 )
 
-// Shard selects a deterministic slice of a sweep grid for one process, the
-// scale-out half of the distributed-sweep story: every process sees the same
-// workload-major grid order, derives the same partition from it, and the
-// shared artifact cache carries the results across processes. The partition
-// is a pure function of the grid — no coordination, no registration, no
-// ordering between shards — so shards can run on different machines, at
-// different times, or twice (duplicate submissions are idempotent: content
-// addressing makes the second run a cache hit).
+// Shard selects which slice of a sweep grid one process runs, the scale-out
+// half of the distributed-sweep story. The sweep engine (parallel.go) deals
+// the grid's units into its worker pool by one of three policies, all picked
+// here:
 //
-// The partition unit is the functional identity, not the cell: all cells
-// sharing one captured trace (the timing rows of a workload × flavour; see
-// cellTraceKey) form one unit, numbered in first-appearance order, and every
-// unit lands whole on exactly one shard. Splitting a unit would make several
-// shards need the same capture, and the store's cross-process single-flight
-// would then serialize the cold path through its capture locks — measured on
-// the sensitivity grid, two cell-strided shards ran no faster than one.
-// Units are dealt to shards in boustrophedon (snake) order rather than plain
-// round-robin so that systematic cost differences between neighbouring
-// units — a grid's flavours alternate, and instrumented builds simulate
-// slower than plain ones — and any cost gradient along the workload axis
-// both spread evenly across shards. For grids with no shared identities
+//   - the zero Shard deals every unit: the full grid;
+//   - a static shard i/n deals the units Owns selects, still in grid order;
+//   - the elastic shard ("-shard auto") deals whatever units it can claim on
+//     the shared store's lock plane (elastic.go).
+//
+// Every process sees the same workload-major grid order and derives the same
+// unit list from it (gridUnits), and the shared artifact cache carries the
+// results across processes. The static partition is a pure function of the
+// grid — no coordination, no registration, no ordering between shards — so
+// shards can run on different machines, at different times, or twice
+// (duplicate submissions are idempotent: content addressing makes the second
+// run a cache hit).
+//
+// The unit is the functional identity, not the cell: all cells sharing one
+// captured trace (the timing rows of a workload × flavour; see cellTraceKey)
+// form one unit, numbered in first-appearance order, and every unit lands
+// whole on exactly one process. Splitting a unit would make several
+// processes need the same capture, and the store's cross-process
+// single-flight would then serialize the cold path through its capture locks
+// — measured on the sensitivity grid, two cell-strided shards ran no faster
+// than one. Static shards take units in boustrophedon (snake) order rather
+// than plain round-robin so that systematic cost differences between
+// neighbouring units — a grid's flavours alternate, and instrumented builds
+// simulate slower than plain ones — and any cost gradient along the workload
+// axis both spread evenly across shards. For grids with no shared identities
 // (every config functionally distinct) the unit is a single cell and this
 // degrades to balanced cell-level dealing.
-//
-// The zero Shard is "no sharding": the full grid.
 type Shard struct {
 	// Index is the 0-based shard number, 0 ≤ Index < Count.
 	Index int
-	// Count is the total number of shards; 0 (or negative) disables sharding.
+	// Count is the total number of static shards. Below 1 it runs the full
+	// grid, except elasticCount, which selects the elastic pool.
 	Count int
 }
 
-// ParseShard parses the restbench "-shard i/n" spec (1-based on the wire,
-// 0-based in the struct).
+// elasticCount is the Count of the elastic shard, the value "-shard auto"
+// parses to: no fixed slice, units are claimed one lease at a time.
+const elasticCount = -1
+
+// ParseShard parses the restbench "-shard" spec: "i/n" (1-based on the wire,
+// 0-based in the struct) for a static slice, or "auto" for the elastic pool.
 func ParseShard(spec string) (Shard, error) {
+	if spec == "auto" {
+		return Shard{Count: elasticCount}, nil
+	}
 	i, n, ok := strings.Cut(spec, "/")
 	if !ok {
-		return Shard{}, fmt.Errorf("shard spec %q is not i/n (e.g. 2/4)", spec)
+		return Shard{}, fmt.Errorf("shard spec %q is neither i/n (e.g. 2/4) nor auto", spec)
 	}
 	idx, err := strconv.Atoi(strings.TrimSpace(i))
 	if err != nil {
@@ -64,15 +79,19 @@ func ParseShard(spec string) (Shard, error) {
 	return Shard{Index: idx - 1, Count: cnt}, nil
 }
 
-// Enabled reports whether the shard restricts the grid at all.
-func (s Shard) Enabled() bool { return s.Count > 0 }
+// Enabled reports whether the shard restricts this process to a share of
+// the grid at all (a static slice or the elastic pool).
+func (s Shard) Enabled() bool { return s.Count > 0 || s.Elastic() }
 
-// Owns reports whether partition unit u (functional identities in
-// first-appearance order; see ownership) belongs to this shard. Units are
-// dealt in snake order: forward on even rounds, backward on odd ones, so any
-// window of 2·Count consecutive units gives every shard exactly two.
+// Elastic reports whether the shard is the work-stealing pool.
+func (s Shard) Elastic() bool { return s.Count == elasticCount }
+
+// Owns reports whether unit u (see gridUnits) belongs to this static shard.
+// Units are dealt in snake order: forward on even rounds, backward on odd
+// ones, so any window of 2·Count consecutive units gives every shard exactly
+// two. A disabled shard owns every unit.
 func (s Shard) Owns(u int) bool {
-	if !s.Enabled() {
+	if s.Count <= 0 {
 		return true
 	}
 	p := u % s.Count
@@ -82,42 +101,65 @@ func (s Shard) Owns(u int) bool {
 	return p == s.Index
 }
 
-// String renders the 1-based wire form ("2/4"), or "" when disabled.
+// String renders the wire form ("2/4" or "auto"), or "" when disabled.
 func (s Shard) String() string {
-	if !s.Enabled() {
+	switch {
+	case !s.Enabled():
 		return ""
+	case s.Elastic():
+		return "auto"
 	}
 	return fmt.Sprintf("%d/%d", s.Index+1, s.Count)
 }
 
-// ownership maps every cell of the workload-major grid to whether this shard
-// owns it. Cells sharing a functional identity (one captured trace) always
-// resolve to the same owner — identities need not be adjacent in the grid
-// (sensitivity grids alternate flavours), so units are tracked by key, not
-// by run. This is the single source of truth for the partition: the sweep
-// engine builds its cell list from it and PlanShard plans exactly the same
-// slice.
-func (s Shard) ownership(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) []bool {
-	owns := make([]bool, len(wls)*len(cfgs))
-	if !s.Enabled() {
-		for i := range owns {
-			owns[i] = true
+// ownership marks the grid cells a static shard deals itself: every cell of
+// every unit Owns selects.
+func (s Shard) ownership(units []sweepUnit, cells int) []bool {
+	owns := make([]bool, cells)
+	for ui, u := range units {
+		if s.Owns(ui) {
+			for _, gi := range u.cells {
+				owns[gi] = true
+			}
 		}
-		return owns
 	}
-	units := make(map[traceKey]int)
+	return owns
+}
+
+// sweepUnit is one functional identity of a grid and the grid indices of
+// the cells sharing it.
+type sweepUnit struct {
+	key   traceKey
+	cells []int
+}
+
+// gridUnits enumerates a workload-major grid's units in first-appearance
+// order. It is the single source of truth for what a unit is: the static
+// partition, the elastic pool's claims, trace-cache planning and UnitCount
+// all read it. Identities need not be adjacent in the grid (sensitivity
+// grids alternate flavours), so units are tracked by key, not by run.
+func gridUnits(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) []sweepUnit {
+	index := make(map[traceKey]int)
+	var units []sweepUnit
 	i := 0
 	for _, wl := range wls {
 		for _, cfg := range cfgs {
 			k := cellTraceKey(wl.Name, cfg, scale, budget)
-			u, seen := units[k]
+			u, seen := index[k]
 			if !seen {
 				u = len(units)
-				units[k] = u
+				index[k] = u
+				units = append(units, sweepUnit{key: k})
 			}
-			owns[i] = s.Owns(u)
+			units[u].cells = append(units[u].cells, i)
 			i++
 		}
 	}
-	return owns
+	return units
+}
+
+// UnitCount reports how many units a grid partitions into. Exposed for
+// benchmarks and tooling that watch an elastic pool drain marker by marker.
+func UnitCount(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) int {
+	return len(gridUnits(wls, cfgs, scale, budget))
 }

@@ -23,7 +23,7 @@ func TestShardPartitionMath(t *testing.T) {
 	t.Parallel()
 
 	for spec, want := range map[string]Shard{
-		"1/1": {0, 1}, "2/4": {1, 4}, " 3 / 3 ": {2, 3},
+		"1/1": {0, 1}, "2/4": {1, 4}, " 3 / 3 ": {2, 3}, "auto": {0, elasticCount},
 	} {
 		got, err := ParseShard(spec)
 		if err != nil || got != want {
@@ -88,7 +88,7 @@ func TestShardPartitionMath(t *testing.T) {
 			cellOwners[i] = -1
 		}
 		for k := 0; k < n; k++ {
-			owns := (Shard{Index: k, Count: n}).ownership(wls, cfgs, 1, 0)
+			owns := (Shard{Index: k, Count: n}).ownership(gridUnits(wls, cfgs, 1, 0), len(wls)*len(cfgs))
 			i := 0
 			for _, wl := range wls {
 				for _, cfg := range cfgs {

@@ -288,15 +288,10 @@ func (s *MicroStats) Metrics() *MetricsReport {
 	return s.Matrix.Metrics("micro")
 }
 
-// RunMicroStats runs the secure and debug REST-full configurations for a
-// workload and extracts the §VI-B statistics. The context bounds both runs
-// (cmd/restbench -timeout reaches every report path through it).
-func RunMicroStats(ctx context.Context, wl workload.Workload, scale int64) (*MicroStats, error) {
-	return RunMicroStatsParallel(ctx, wl, scale, ParallelOptions{})
-}
-
-// RunMicroStatsParallel is RunMicroStats on the parallel sweep engine (the
-// secure and debug runs are independent cells and proceed concurrently).
+// RunMicroStatsParallel runs the secure and debug REST-full configurations
+// for a workload on the sweep engine (they are independent cells and proceed
+// concurrently) and extracts the §VI-B statistics. The context bounds both
+// runs (cmd/restbench -timeout reaches every report path through it).
 func RunMicroStatsParallel(ctx context.Context, wl workload.Workload, scale int64, opt ParallelOptions) (*MicroStats, error) {
 	cfgs := []BinaryConfig{
 		{Name: "secure-full", Pass: prog.RESTFull(64), Mode: core.Secure},

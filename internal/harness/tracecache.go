@@ -158,35 +158,15 @@ const (
 // bypass the cache entirely. Additive: concurrent or successive sweeps may
 // plan onto one shared cache.
 func (tc *TraceCache) Plan(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64) {
-	tc.PlanShard(wls, cfgs, scale, budget, Shard{})
-}
-
-// PlanShard is Plan restricted to the grid cells a shard owns. A sharded
-// sweep must NOT plan the full grid: cells owned by other shards never run
-// in this process, so planning them would install leads that no local cell
-// executes — stranding local waiters on captures that will never happen here
-// and leaking the plan's refcounts. Cross-process deduplication does not
-// need the in-memory plan at all; it rides the persistent store's
-// single-flight capture locks instead.
-func (tc *TraceCache) PlanShard(wls []workload.Workload, cfgs []BinaryConfig, scale int64, budget uint64, shard Shard) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	owned := shard.ownership(wls, cfgs, scale, budget)
-	i := 0
-	for _, wl := range wls {
-		for _, cfg := range cfgs {
-			if owned[i] {
-				tc.plan[cellTraceKey(wl.Name, cfg, scale, budget)]++
-			}
-			i++
-		}
+	for _, u := range gridUnits(wls, cfgs, scale, budget) {
+		tc.planUnit(u.key, len(u.cells))
 	}
 }
 
-// planUnit registers n upcoming uses of one functional identity. The
-// elastic scheduler plans per-unit at claim time — it cannot plan the grid
-// up front like PlanShard, because which units this process runs is decided
-// by the pool, one claim at a time.
+// planUnit registers n upcoming uses of one functional identity. The sweep
+// engine plans unit by unit, and only the units it deals itself (see
+// sweep.plan): up front for unsharded and static sweeps, at claim time for
+// the elastic pool.
 func (tc *TraceCache) planUnit(k traceKey, n int) {
 	tc.mu.Lock()
 	tc.plan[k] += n

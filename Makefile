@@ -39,6 +39,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test: build
 	$(GO) test ./...
@@ -63,6 +64,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceDecode   -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzBlockDecode     -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz=FuzzBlockInvalidate -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz=FuzzPipeline        -fuzztime=$(FUZZTIME) ./internal/cpu
 
 faults:
 	$(GO) run ./cmd/restbench -faults -seed $(SEED) -csv
@@ -72,6 +74,9 @@ bench:
 
 # One iteration of every benchmark in every package: a cheap CI gate that
 # keeps the bench suite from bit-rotting between real benchmarking sessions.
+# It includes the per-layer timing-model benchmarks, BenchmarkTAGE
+# (internal/bpred, Mbranch/s) and BenchmarkPipelineReplay (internal/cpu,
+# Minstr/s).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 

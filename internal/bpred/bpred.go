@@ -75,12 +75,26 @@ type Predictor struct {
 
 	bimodal []int8 // 2-bit counters: -2..1, taken when >= 0
 
-	tables    [][]taggedEntry
-	histLen   []int
-	ghist     []byte // global history bits, most recent at index 0 position ghead
-	ghead     int
-	foldedIdx []foldedHistory
-	foldedTag [2][]foldedHistory
+	tables [][]taggedEntry
+	hist   []tableHistory // one per tagged table: its window and folds
+
+	// The global history is a circular buffer of outcomes: the newest at
+	// ghist[ghead], the one of age a at ghist[(ghead+a)&gmask]. Its length
+	// is a power of two above the longest window, so pushing an outcome
+	// moves the head instead of shifting the buffer (Seznec & Michaud,
+	// JILP 2006).
+	ghist []byte
+	ghead int
+	gmask int
+
+	// Fold widths and masks, shared by every table: the index fold is
+	// TaggedBits wide, the two tag folds TagWidth and TagWidth-1. When
+	// TagWidth-1 == TaggedBits (the defaults) the second tag fold has the
+	// index fold's length, width and inputs, so it is the same register:
+	// tag1IsIdx skips computing it.
+	idxBits, tagBits, tag1Bits uint32
+	idxMask, tagMask, tag1Mask uint32
+	tag1IsIdx                  bool
 
 	btb  []btbEntry
 	ras  []uint64
@@ -97,19 +111,17 @@ type Predictor struct {
 	RASWrong     uint64
 }
 
-// foldedHistory incrementally folds a long global history into idxBits.
-type foldedHistory struct {
-	comp    uint32
-	origLen int
-	outLen  int
-	outPos  int
-}
-
-func (f *foldedHistory) update(newBit, oldBit uint32) {
-	f.comp = (f.comp << 1) | newBit
-	f.comp ^= oldBit << uint(f.outPos)
-	f.comp ^= f.comp >> uint(f.outLen)
-	f.comp &= (1 << uint(f.outLen)) - 1
+// tableHistory is one tagged table's view of the global history: its window
+// length and the three folded registers that compress that window into the
+// table's index and tag (TAGE's circular shift registers). A fold of width
+// W over the last L outcomes is XOR_{a<L} h[a] << (a mod W), h[0] the
+// newest; pushHistory keeps all three current in one pass per branch.
+type tableHistory struct {
+	len             int    // window length: outcomes of age < len are folded in
+	idx, tag0, tag1 uint32 // index fold, tag fold, second (narrower) tag fold
+	// The outcome leaving the window (age len after a push) sits at bit
+	// len mod W of each fold; these are those positions.
+	idxOut, tag0Out, tag1Out uint32
 }
 
 // New builds a predictor.
@@ -123,31 +135,38 @@ func New(cfg Config) *Predictor {
 		lfsr:    0xACE1,
 	}
 	p.tables = make([][]taggedEntry, cfg.TaggedTables)
-	p.histLen = make([]int, cfg.TaggedTables)
-	p.foldedIdx = make([]foldedHistory, cfg.TaggedTables)
-	p.foldedTag[0] = make([]foldedHistory, cfg.TaggedTables)
-	p.foldedTag[1] = make([]foldedHistory, cfg.TaggedTables)
+	p.hist = make([]tableHistory, cfg.TaggedTables)
+	p.idxBits, p.tagBits, p.tag1Bits = uint32(cfg.TaggedBits), uint32(cfg.TagWidth), uint32(cfg.TagWidth-1)
+	p.idxMask, p.tagMask, p.tag1Mask = 1<<p.idxBits-1, 1<<p.tagBits-1, 1<<p.tag1Bits-1
+	p.tag1IsIdx = p.tag1Bits == p.idxBits
 	// Geometric history lengths between MinHistory and MaxHistory.
 	ratio := 1.0
 	if cfg.TaggedTables > 1 {
 		ratio = math.Pow(float64(cfg.MaxHistory)/float64(cfg.MinHistory), 1.0/float64(cfg.TaggedTables-1))
 	}
 	l := float64(cfg.MinHistory)
+	longest := 0
 	for i := 0; i < cfg.TaggedTables; i++ {
 		p.tables[i] = make([]taggedEntry, 1<<cfg.TaggedBits)
-		p.histLen[i] = int(l + 0.5)
-		if i > 0 && p.histLen[i] <= p.histLen[i-1] {
-			p.histLen[i] = p.histLen[i-1] + 1
+		n := int(l + 0.5)
+		if i > 0 && n <= p.hist[i-1].len {
+			n = p.hist[i-1].len + 1
 		}
 		l *= ratio
-		p.foldedIdx[i] = foldedHistory{origLen: p.histLen[i], outLen: cfg.TaggedBits}
-		p.foldedIdx[i].outPos = p.histLen[i] % cfg.TaggedBits
-		p.foldedTag[0][i] = foldedHistory{origLen: p.histLen[i], outLen: cfg.TagWidth}
-		p.foldedTag[0][i].outPos = p.histLen[i] % cfg.TagWidth
-		p.foldedTag[1][i] = foldedHistory{origLen: p.histLen[i], outLen: cfg.TagWidth - 1}
-		p.foldedTag[1][i].outPos = p.histLen[i] % (cfg.TagWidth - 1)
+		p.hist[i] = tableHistory{
+			len:     n,
+			idxOut:  uint32(n) % p.idxBits,
+			tag0Out: uint32(n) % p.tagBits,
+			tag1Out: uint32(n) % p.tag1Bits,
+		}
+		longest = max(longest, n)
 	}
-	p.ghist = make([]byte, cfg.MaxHistory+1)
+	size := 1
+	for size <= longest {
+		size <<= 1
+	}
+	p.ghist = make([]byte, size)
+	p.gmask = size - 1
 	if cfg.LoopBits > 0 {
 		p.loop = newLoopPredictor(cfg.LoopBits)
 	}
@@ -169,14 +188,17 @@ func (p *Predictor) bimodalIndex(pc uint64) int {
 }
 
 func (p *Predictor) tableIndex(pc uint64, t int) int {
-	h := p.foldedIdx[t].comp
-	idx := uint32(pc>>4) ^ uint32(pc>>(uint(4+p.cfg.TaggedBits))) ^ h
-	return int(idx & uint32(len(p.tables[t])-1))
+	idx := uint32(pc>>4) ^ uint32(pc>>(4+p.idxBits)) ^ p.hist[t].idx
+	return int(idx & p.idxMask)
 }
 
 func (p *Predictor) tableTag(pc uint64, t int) uint32 {
-	tag := uint32(pc>>4) ^ p.foldedTag[0][t].comp ^ (p.foldedTag[1][t].comp << 1)
-	return tag & ((1 << uint(p.cfg.TagWidth)) - 1)
+	h := &p.hist[t]
+	tag1 := h.tag1
+	if p.tag1IsIdx {
+		tag1 = h.idx
+	}
+	return (uint32(pc>>4) ^ h.tag0 ^ tag1<<1) & p.tagMask
 }
 
 // PredictDirection predicts taken/not-taken for a conditional branch at pc.
@@ -250,19 +272,33 @@ func (p *Predictor) Update(pc uint64, taken bool, provider int, mispredicted boo
 	p.pushHistory(taken)
 }
 
+// pushHistory records a conditional branch's outcome and brings every
+// table's folds up to date. Each fold rotates left by one within its width
+// (the shift plus the carried-out top bit), takes the new outcome at bit 0
+// and cancels the outcome leaving the window at bit len mod W.
 func (p *Predictor) pushHistory(taken bool) {
-	// Shift history: index 0 is most recent.
-	copy(p.ghist[1:], p.ghist[:len(p.ghist)-1])
-	b := byte(0)
+	var in uint32
 	if taken {
-		b = 1
+		in = 1
 	}
-	p.ghist[0] = b
-	for t := 0; t < p.cfg.TaggedTables; t++ {
-		old := uint32(p.ghist[p.histLen[t]])
-		p.foldedIdx[t].update(uint32(b), old)
-		p.foldedTag[0][t].update(uint32(b), old)
-		p.foldedTag[1][t].update(uint32(b), old)
+	p.ghead = (p.ghead - 1) & p.gmask
+	p.ghist[p.ghead] = byte(in)
+	ghist, head, gmask := p.ghist, p.ghead, p.gmask
+	// Shift counts are below 32 by construction; masking them says so to
+	// the compiler, which then emits bare shifts.
+	ib, tb, t1b := p.idxBits&31, p.tagBits&31, p.tag1Bits&31
+	im, tm, t1m := p.idxMask, p.tagMask, p.tag1Mask
+	for i := range p.hist {
+		h := &p.hist[i]
+		out := uint32(ghist[(head+h.len)&gmask])
+		c := h.idx<<1 | in ^ out<<(h.idxOut&31)
+		h.idx = (c ^ c>>ib) & im
+		c = h.tag0<<1 | in ^ out<<(h.tag0Out&31)
+		h.tag0 = (c ^ c>>tb) & tm
+		if !p.tag1IsIdx {
+			c = h.tag1<<1 | in ^ out<<(h.tag1Out&31)
+			h.tag1 = (c ^ c>>t1b) & t1m
+		}
 	}
 }
 

@@ -16,13 +16,13 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Errorf("tagged tables = %d, want 12", len(p.tables))
 	}
 	// History lengths are strictly increasing and span min..>=max-ish.
-	for i := 1; i < len(p.histLen); i++ {
-		if p.histLen[i] <= p.histLen[i-1] {
-			t.Fatalf("history lengths not increasing: %v", p.histLen)
+	for i := 1; i < len(p.hist); i++ {
+		if p.hist[i].len <= p.hist[i-1].len {
+			t.Fatalf("history lengths not increasing: %d then %d", p.hist[i-1].len, p.hist[i].len)
 		}
 	}
-	if p.histLen[0] != 4 {
-		t.Errorf("shortest history = %d, want 4", p.histLen[0])
+	if p.hist[0].len != 4 {
+		t.Errorf("shortest history = %d, want 4", p.hist[0].len)
 	}
 }
 
@@ -175,9 +175,77 @@ func TestFoldedHistoryBounded(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		p.pushHistory(r.Intn(2) == 0)
 	}
-	for t1 := range p.foldedIdx {
-		if p.foldedIdx[t1].comp >= 1<<uint(p.cfg.TaggedBits) {
-			t.Fatalf("folded index %d overflowed: %#x", t1, p.foldedIdx[t1].comp)
+	for t1, h := range p.hist {
+		if h.idx >= 1<<uint(p.cfg.TaggedBits) {
+			t.Fatalf("folded index %d overflowed: %#x", t1, h.idx)
+		}
+		if h.tag0 >= 1<<uint(p.cfg.TagWidth) {
+			t.Fatalf("folded tag %d overflowed: %#x", t1, h.tag0)
+		}
+		if h.tag1 >= 1<<uint(p.cfg.TagWidth-1) {
+			t.Fatalf("second folded tag %d overflowed: %#x", t1, h.tag1)
+		}
+	}
+}
+
+// foldFromScratch folds the last n outcomes of hist (hist[0] the newest)
+// into width bits: outcome a lands on bit a mod width.
+func foldFromScratch(hist []bool, n int, width uint32) uint32 {
+	var f uint32
+	for a := 0; a < n && a < len(hist); a++ {
+		if hist[a] {
+			f ^= 1 << (uint32(a) % width)
+		}
+	}
+	return f
+}
+
+// TestFoldedHistoryOracle checks every incrementally maintained fold
+// against the same fold recomputed from the raw outcome sequence, after
+// every one of 12k random branches, both under the defaults (where the
+// second tag fold shares the index fold's register) and under a geometry
+// where the two differ.
+func TestFoldedHistoryOracle(t *testing.T) {
+	for _, cfg := range []Config{
+		{},
+		{TaggedBits: 9, TagWidth: 13, TaggedTables: 7, MinHistory: 3, MaxHistory: 300},
+	} {
+		p := New(cfg)
+		if cfg.TaggedBits != 0 && p.tag1IsIdx {
+			t.Fatalf("config %+v: second tag fold should be its own register", cfg)
+		}
+		r := rand.New(rand.NewSource(7))
+		var hist []bool // newest first
+		for i := 0; i < 12000; i++ {
+			taken := r.Intn(3) != 0
+			p.pushHistory(taken)
+			hist = append([]bool{taken}, hist...)
+			if len(hist) > p.cfg.MaxHistory+1 {
+				hist = hist[:p.cfg.MaxHistory+1]
+			}
+			for ti, h := range p.hist {
+				tag1 := h.tag1
+				if p.tag1IsIdx {
+					tag1 = h.idx
+				}
+				for _, f := range []struct {
+					name  string
+					got   uint32
+					width uint32
+				}{
+					{"index", h.idx, p.idxBits},
+					{"tag", h.tag0, p.tagBits},
+					{"second tag", tag1, p.tag1Bits},
+				} {
+					if f.got >= 1<<f.width {
+						t.Fatalf("branch %d table %d: %s fold %#x wider than %d bits", i, ti, f.name, f.got, f.width)
+					}
+					if want := foldFromScratch(hist, h.len, f.width); f.got != want {
+						t.Fatalf("config %+v branch %d table %d (len %d): %s fold = %#x, from scratch %#x",
+							cfg, i, ti, h.len, f.name, f.got, want)
+					}
+				}
+			}
 		}
 	}
 }

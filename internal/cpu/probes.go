@@ -84,7 +84,7 @@ func (p *Probes) record(st *Stats) {
 
 // sample records one occupancy observation of every window structure at
 // dispatch cycle d. Nil-safe.
-func (p *Probes) sample(d uint64, rob, lq, sq *ring, iq *minHeap) {
+func (p *Probes) sample(d uint64, rob, lq, sq *ring, iq *issueQueue) {
 	if p == nil {
 		return
 	}

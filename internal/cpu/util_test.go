@@ -127,3 +127,66 @@ func TestScanSQDisarm(t *testing.T) {
 		t.Error("drained disarm matched")
 	}
 }
+
+// TestSlotRegMatchesSlotTable pins the register's exactness claim: over a
+// monotone request stream it grants exactly the cycles the window table
+// grants, at every width.
+func TestSlotRegMatchesSlotTable(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, width := range []int{1, 2, 8} {
+		reg, tab := newSlotReg(width), newSlotTable(width)
+		var at uint64
+		for i := 0; i < 50000; i++ {
+			switch r.Intn(4) {
+			case 0: // same cycle again
+			case 1:
+				at += uint64(r.Intn(3))
+			default:
+				at += uint64(r.Intn(40))
+			}
+			if got, want := reg.reserve(at), tab.reserve(at); got != want {
+				t.Fatalf("width %d request %d at %d: register grants %d, table %d", width, i, at, got, want)
+			}
+		}
+	}
+}
+
+// TestIssueQueueMatchesMultiset drives the calendar queue the way dispatch
+// does (fill, then replace the minimum with a later cycle, now and then
+// one beyond the calendar window) and checks its minimum and occupancy
+// against a plain multiset.
+func TestIssueQueueMatchesMultiset(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const size = 64
+	q := newIssueQueue(size)
+	var ref []uint64
+	for i := 0; i < size; i++ {
+		v := uint64(100 + r.Intn(300))
+		q.push(v)
+		ref = append(ref, v)
+	}
+	for i := 0; i < 200000; i++ {
+		sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
+		if !q.full() || q.min() != ref[0] {
+			t.Fatalf("step %d: min = %d (full %v), want %d", i, q.min(), q.full(), ref[0])
+		}
+		if i%97 == 0 {
+			now := ref[0] + uint64(r.Intn(2*iqWindow))
+			var want uint64
+			for _, v := range ref {
+				if v > now {
+					want++
+				}
+			}
+			if got := q.occupancy(now); got != want {
+				t.Fatalf("step %d: occupancy(%d) = %d, want %d", i, now, got, want)
+			}
+		}
+		v := ref[0] + 1 + uint64(r.Intn(64))
+		if r.Intn(50) == 0 {
+			v += uint64(r.Intn(4 * iqWindow))
+		}
+		q.replaceMin(v)
+		ref[0] = v
+	}
+}

@@ -57,7 +57,7 @@ const (
 // struct store and replays with a single struct load, where split columns
 // cost ten scattered accesses per entry.
 type recEntry struct {
-	pc, addr, target                    uint64
+	pc, addr, target                     uint64
 	op, kind, dst, src1, src2, sz, flags uint8
 }
 
